@@ -18,7 +18,9 @@ shrinks them further and ``--paper-scale`` grows the catalogue population.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import statistics
 import threading
 import time
 
@@ -35,6 +37,9 @@ from repro.replica.transfer import TransferEngine
 #: workers over sleep-dominated copies should approach 4x; 1.8x leaves head
 #: room for noisy CI machines while still proving real overlap.
 MIN_PARALLEL_SPEEDUP = 1.8
+
+#: Paired (single, contended) samples behind the lookup-contention verdict.
+LOOKUP_ROUNDS = 5
 
 #: Per-transfer latency injected into the throttled destination element.
 TRANSFER_LATENCY_S = 0.02
@@ -66,7 +71,7 @@ def test_catalogue_lookup_throughput(smoke, paper_scale, capsys, tmp_path):
     """Locating an LFN through catalogue + broker stays a memory-speed path."""
 
     n_lfns = 300 if smoke else (20_000 if paper_scale else 2_000)
-    lookups = 2_000 if smoke else 20_000
+    lookups = 1_000 if smoke else 10_000        # per timed sample
     catalogue = ReplicaCatalogue(Database())
     elements = {name: _make_se(tmp_path, name) for name in ("se-a", "se-b", "se-c")}
     _populate(catalogue, list(elements), n_lfns)
@@ -92,20 +97,30 @@ def test_catalogue_lookup_throughput(smoke, paper_scale, capsys, tmp_path):
             t.join()
         return (per_thread * threads) / (time.perf_counter() - start)
 
-    single = measure(1)
-    contended = measure(4)
+    # One unpaired sample each is at the mercy of whatever else the host
+    # runs between them.  Interleave instead: every round times the two
+    # back to back and yields one ratio; the verdict is the median ratio.
+    singles, ratios = [], []
+    for _ in range(LOOKUP_ROUNDS):
+        gc.collect()
+        single = measure(1)
+        singles.append(single)
+        ratios.append(measure(4) / single)
+    single = max(singles)
+    ratio = statistics.median(ratios)
 
     table = ResultTable(
-        f"REPLICA — broker lookups over {n_lfns} LFNs x {len(elements)} replicas",
+        f"REPLICA — broker lookups over {n_lfns} LFNs x {len(elements)} replicas "
+        f"(best single, median of {LOOKUP_ROUNDS} paired rounds)",
         ["threads", "lookups/s"])
     table.add_row("1", format_rate(single))
-    table.add_row("4", format_rate(contended))
+    table.add_row("4", format_rate(single * ratio))
     with capsys.disabled():
         print("\n" + table.render() + "\n")
 
     assert single > 1_000, f"catalogue lookups unexpectedly slow: {single:.0f}/s"
     # Striped LFN locks: contention must not collapse throughput.
-    assert contended > single * 0.5
+    assert ratio > 0.5, f"per-round contended/single ratios: {ratios}"
 
 
 def test_parallel_transfer_scaling(smoke, capsys, tmp_path):

@@ -31,7 +31,7 @@ class ACLService(ClarensService):
                                        actor_dn=ctx.require_dn())
         return True
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def get_method_acl(self, ctx: CallContext, level: str) -> dict[str, Any]:
         """The ACL attached directly to ``level`` (empty dict when none)."""
 
@@ -44,14 +44,14 @@ class ACLService(ClarensService):
 
         return self.server.acl.remove_method_acl(level, actor_dn=ctx.require_dn())
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def list_method_acls(self, ctx: CallContext) -> dict[str, Any]:
         """All method ACLs, keyed by hierarchy level."""
 
         return {level: acl.to_record()
                 for level, acl in self.server.acl.list_method_acls().items()}
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def check_method(self, ctx: CallContext, method: str, dn: str = "") -> dict[str, Any]:
         """Evaluate whether a DN (default: the caller) may invoke ``method``."""
 
@@ -70,7 +70,7 @@ class ACLService(ClarensService):
         self.server.acl.set_file_acl(path, file_acl, actor_dn=ctx.require_dn())
         return True
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def get_file_acl(self, ctx: CallContext, path: str) -> dict[str, Any]:
         """The file ACL attached directly to ``path`` (empty dict when none)."""
 
@@ -83,14 +83,14 @@ class ACLService(ClarensService):
 
         return self.server.acl.remove_file_acl(path, actor_dn=ctx.require_dn())
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def list_file_acls(self, ctx: CallContext) -> dict[str, Any]:
         """All file ACLs, keyed by path."""
 
         return {path: acl.to_record()
                 for path, acl in self.server.acl.list_file_acls().items()}
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def check_file(self, ctx: CallContext, path: str, operation: str,
                    dn: str = "") -> dict[str, Any]:
         """Evaluate whether a DN (default: the caller) may read/write ``path``."""

@@ -88,9 +88,10 @@ class ServerConfig:
     #: ``async`` (one event loop for every connection, with pipelined parsing
     #: and a bounded executor for the blocking handler stack).
     server_transport: str = "threaded"
-    #: Worker threads the async frontend offloads request handling to (the
-    #: session/ACL/database stack is synchronous by design).  0 runs handlers
-    #: inline on the event loop — only sensible for sub-millisecond methods.
+    #: Worker threads the async frontend offloads blocking work to: methods
+    #: not marked ``loop_safe`` and every non-RPC route (marked methods run
+    #: on the event loop itself).  0 runs everything inline on the loop —
+    #: only sensible for sub-millisecond methods.
     async_executor_workers: int = 8
     #: Maximum connections the async frontend holds open at once; a surplus
     #: connection is answered 429 and closed instead of queueing unboundedly

@@ -14,6 +14,11 @@ handle_http`); already-decoded requests (tests, in-process services) enter at
 invoke chain, so both the loopback transport and the socket server exercise
 the identical pipeline object assembled once by ``ClarensServer``.
 
+The async frontend enters through :meth:`RequestPipeline.begin_http`
+instead: the same decode and the same stages, run on the event loop for as
+long as every stage says it is :meth:`~PipelineStage.loop_safe`, with the
+blocking remainder handed back as a continuation for the executor.
+
 The stages named ``session`` and ``acl`` are the paper's "two access control
 checks involving access to several databases"; the ``access_checks_per_request``
 ablation knob switches them off one at a time exactly as before, so the
@@ -49,7 +54,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.admission import ANONYMOUS_IDENTITY, AdmissionController
 from repro.core.context import CallContext
-from repro.core.errors import AccessDeniedError, AuthenticationError, to_fault
+from repro.core.errors import (AccessDeniedError, AuthenticationError,
+                               NotFoundError, to_fault)
 from repro.core.session import Session
 from repro.httpd.message import Headers, HTTPRequest, HTTPResponse
 from repro.protocols import default_codec, detect_codec
@@ -208,6 +214,10 @@ class RequestState:
     #: Callables run (in reverse order) once the request finishes, success or
     #: fault — the admission stage parks its in-flight release here.
     cleanups: list[Callable[[], None]] = field(default_factory=list)
+    #: ``perf_counter`` reading when the stage chain started.
+    started: float = 0.0
+    #: The fault that aborted the chain, if any.
+    fault: Fault | None = None
 
     @property
     def identity(self) -> str:
@@ -235,8 +245,25 @@ class PipelineStage:
     def __call__(self, state: RequestState) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    def loop_safe(self, state: RequestState) -> bool:
+        """Whether this stage may run on the async frontend's event loop.
 
-class TraceStage(PipelineStage):
+        Only a stage that touches memory alone may say yes; the default is
+        no, so a custom stage is offloaded (with everything after it) unless
+        it opts in.
+        """
+
+        return False
+
+
+class _LoopSafeStage(PipelineStage):
+    """The built-in access-control stages: in-memory lookups only."""
+
+    def loop_safe(self, state: RequestState) -> bool:
+        return True
+
+
+class TraceStage(_LoopSafeStage):
     """Stamps a request id so log lines and events correlate across stages.
 
     With telemetry enabled it additionally establishes the *distributed*
@@ -293,7 +320,7 @@ def check_method_acl(server: "ClarensServer", dn: str | None, name: str,
             f"access to {name} denied: {decision.reason}")
 
 
-class SessionStage(PipelineStage):
+class SessionStage(_LoopSafeStage):
     """Method lookup plus the paper's check 1: the session database lookup."""
 
     name = "session"
@@ -327,7 +354,7 @@ class SessionStage(PipelineStage):
                 f"method {rpc_request.method} requires an authenticated session")
 
 
-class MethodACLStage(PipelineStage):
+class MethodACLStage(_LoopSafeStage):
     """The paper's check 2: the database-backed method ACL evaluation."""
 
     name = "acl"
@@ -337,7 +364,7 @@ class MethodACLStage(PipelineStage):
                          state.method)
 
 
-class AdmissionStage(PipelineStage):
+class AdmissionStage(_LoopSafeStage):
     """Per-identity token-bucket / in-flight admission (off when unconfigured)."""
 
     name = "admission"
@@ -376,6 +403,34 @@ class InvokeStage(PipelineStage):
             result = _call_with_context(state.method.func, ctx, rpc_request.params)
         state.response = RPCResponse.from_result(result, call_id=rpc_request.call_id,
                                                  validate=state.validate_result)
+
+    def loop_safe(self, state: RequestState) -> bool:
+        if state.response is not None:
+            return True
+        method = state.method
+        if method is None or not method.loop_safe:
+            return False
+        if method.name == "system.multicall":
+            return _multicall_loop_safe(state.server.registry,
+                                        state.rpc_request.params)
+        return True
+
+
+def _multicall_loop_safe(registry, params: Sequence[Any]) -> bool:
+    """A batch stays on the loop only when every entry names a marked method.
+
+    Anything else — an unmarked or unknown method, a malformed batch — is
+    offloaded whole: one executor hop, entries still run in order.
+    """
+
+    if len(params) != 1 or not isinstance(params[0], (list, tuple)):
+        return False
+    try:
+        names = {entry.get("methodName") if isinstance(entry, dict) else None
+                 for entry in params[0]}
+        return all(registry.lookup(name).loop_safe for name in names)
+    except (NotFoundError, TypeError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +629,28 @@ class RequestPipeline:
                              validate_result=validate_result)
         if pre_stage_seconds:
             state.stage_seconds.update(pre_stage_seconds)
-        start = time.perf_counter()
-        fault: Fault | None = None
+        self._run_stages(state)
+        return state
+
+    def _run_stages(self, state: RequestState, first: int = 0, *,
+                    on_loop: bool = False) -> int:
+        """Run stages from ``first``; returns the index of the next one due.
+
+        With ``on_loop`` the chain stops *before* the first stage that is not
+        loop-safe for this request and returns its index, leaving the request
+        open (cleanups pending, nothing recorded) for a later call to resume
+        off the loop.  Otherwise — and whenever a stage faults — the request
+        is finished here and ``len(self.stages)`` is returned.
+        """
+
+        stages = self.stages
+        if first == 0:
+            state.started = time.perf_counter()
         try:
-            for stage in self.stages:
+            for index in range(first, len(stages)):
+                stage = stages[index]
+                if on_loop and not stage.loop_safe(state):
+                    return index
                 stage_start = time.perf_counter()
                 try:
                     stage(state)
@@ -586,15 +659,22 @@ class RequestPipeline:
                         state.stage_seconds.get(stage.name, 0.0)
                         + time.perf_counter() - stage_start)
         except BaseException as exc:  # noqa: BLE001 - faults must not kill the server
-            fault = to_fault(exc)
-            state.response = RPCResponse.from_fault(fault, call_id=rpc_request.call_id)
-        finally:
-            for cleanup in reversed(state.cleanups):
-                try:
-                    cleanup()
-                except Exception:  # noqa: BLE001 - cleanups are best-effort
-                    pass
-        duration = time.perf_counter() - start
+            state.fault = to_fault(exc)
+            state.response = RPCResponse.from_fault(
+                state.fault, call_id=state.rpc_request.call_id)
+        self._finish(state)
+        return len(stages)
+
+    def _finish(self, state: RequestState) -> None:
+        """Release what the request holds and account for it, exactly once."""
+
+        for cleanup in reversed(state.cleanups):
+            try:
+                cleanup()
+            except Exception:  # noqa: BLE001 - cleanups are best-effort
+                pass
+        rpc_request, fault = state.rpc_request, state.fault
+        duration = time.perf_counter() - state.started
         self.stats.record(
             method=rpc_request.method, seconds=duration,
             fault=fault is not None, anonymous=state.anonymous,
@@ -615,7 +695,6 @@ class RequestPipeline:
                 started=time.time() - duration,
                 duration_s=duration,
                 stage_seconds=dict(state.stage_seconds)))
-        return state
 
     def run(self, rpc_request: RPCRequest, *,
             http_request: HTTPRequest | None = None,
@@ -664,6 +743,41 @@ class RequestPipeline:
     def handle_http(self, request: HTTPRequest) -> HTTPResponse:
         """Handle a POST to the RPC endpoint: decode, run the chain, encode."""
 
+        call = self._decode_http(request)
+        if isinstance(call, HTTPResponse):
+            return call
+        self._run_stages(call[0])
+        return self._encode_http(*call)
+
+    def begin_http(self, request: HTTPRequest
+                   ) -> HTTPResponse | Callable[[], HTTPResponse]:
+        """The event-loop entry point: answer now, or say what is left.
+
+        Decodes once and runs every loop-safe stage on the calling (loop)
+        thread.  A request that finishes there — a marked method, or any
+        pre-invoke refusal: parse fault, bad session, ACL denial, admission
+        429 — comes back as its response.  Otherwise the return value is a
+        continuation that runs the remaining stages and encodes; the caller
+        hands it to an executor thread.
+        """
+
+        call = self._decode_http(request)
+        if isinstance(call, HTTPResponse):
+            return call
+        stages_left = self._run_stages(call[0], on_loop=True)
+        if stages_left == len(self.stages):
+            return self._encode_http(*call)
+
+        def finish() -> HTTPResponse:
+            self._run_stages(call[0], stages_left)
+            return self._encode_http(*call)
+
+        return finish
+
+    def _decode_http(self, request: HTTPRequest
+                     ) -> HTTPResponse | tuple[RequestState, Any, str | None]:
+        """Pick the codec and decode; a parse failure is already a response."""
+
         # Advertise the enabled codecs only to clients that asked: paper-mode
         # traffic (no accept header) stays byte-for-byte unchanged.
         advert = None
@@ -698,12 +812,18 @@ class RequestPipeline:
                 if len(self._request_memo) >= _REQUEST_MEMO_LIMIT:
                     self._request_memo.clear()
                 self._request_memo[request.body] = rpc_request
-        decode_seconds = time.perf_counter() - decode_start
 
-        state = self.execute(rpc_request, http_request=request,
-                             protocol=codec.name,
-                             pre_stage_seconds={"decode": decode_seconds},
+        state = RequestState(server=self.server, rpc_request=rpc_request,
+                             http_request=request, protocol=codec.name,
                              validate_result=not spliceable)
+        state.stage_seconds["decode"] = time.perf_counter() - decode_start
+        return state, codec, advert
+
+    def _encode_http(self, state: RequestState, codec,
+                     advert: str | None) -> HTTPResponse:
+        """Encode a finished request's response in the codec it arrived in."""
+
+        rpc_request = state.rpc_request
         response = state.response
         response.call_id = rpc_request.call_id
 
@@ -713,7 +833,7 @@ class RequestPipeline:
             # and the fault — serve the pre-encoded bytes (overload shedding
             # re-encodes the identical 429 body thousands of times otherwise).
             body = encode_fault_cached(codec, response.fault)
-        elif spliceable and not response.is_fault:
+        elif not state.validate_result and not response.is_fault:
             try:
                 body = self._encode_spliced(codec, rpc_request.method, response)
             except ProtocolError as exc:

@@ -34,6 +34,10 @@ class RegisteredMethod:
     #: system.* bootstrap calls such as get_challenge and auth).
     anonymous: bool = False
     service: str = ""
+    #: The method touches memory alone (no VFS, peer, subprocess or journal
+    #: IO), so the async frontend may run it to completion on the event loop
+    #: instead of paying an executor hop.  Off unless the service says so.
+    loop_safe: bool = False
 
     @property
     def module(self) -> str:
@@ -52,7 +56,8 @@ class MethodRegistry:
 
     # -- registration ----------------------------------------------------------
     def register(self, name: str, func: Callable, *, signature: str = "",
-                 help: str = "", anonymous: bool = False, service: str = "") -> RegisteredMethod:
+                 help: str = "", anonymous: bool = False, service: str = "",
+                 loop_safe: bool = False) -> RegisteredMethod:
         """Register ``func`` under the hierarchical ``name``."""
 
         if not name or name.startswith(".") or name.endswith("."):
@@ -62,7 +67,8 @@ class MethodRegistry:
         if not help:
             help = inspect.getdoc(func) or ""
         method = RegisteredMethod(name=name, func=func, signature=signature,
-                                  help=help, anonymous=anonymous, service=service)
+                                  help=help, anonymous=anonymous, service=service,
+                                  loop_safe=loop_safe)
         with self._lock:
             self._methods[name] = method
             self._cached_names = None
@@ -80,7 +86,7 @@ class MethodRegistry:
         for method in methods:
             self.register(method.name, method.func, signature=method.signature,
                           help=method.help, anonymous=method.anonymous,
-                          service=method.service)
+                          service=method.service, loop_safe=method.loop_safe)
 
     def unregister(self, name: str) -> bool:
         with self._lock:

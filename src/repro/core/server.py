@@ -18,11 +18,12 @@ processing are identical regardless of transport.
 from __future__ import annotations
 
 import tempfile
-import time
-from pathlib import Path
-from typing import Iterable
-
 import threading
+import time
+import weakref
+from functools import partial
+from pathlib import Path
+from typing import Callable, Iterable
 
 from repro.acl.evaluator import ACLManager
 from repro.cache.core import CacheRegistry, TTLLRUCache
@@ -178,8 +179,11 @@ class ClarensServer:
 
         # -- routing ----------------------------------------------------------
         self.router = Router()
-        self.router.add(self.config.rpc_path(), self.dispatcher.handle_http,
-                        methods=("POST",))
+        self._rpc_route = self.router.add(self.config.rpc_path(),
+                                          self.dispatcher.handle_http,
+                                          methods=("POST",))
+        #: Live async frontends, for ``system.stats`` and the metrics scrape.
+        self.async_frontends: weakref.WeakSet[AsyncHTTPServer] = weakref.WeakSet()
         self.router.add(self.config.file_path(), self._handle_file_get,
                         methods=("GET",))
         if self.telemetry is not None:
@@ -312,17 +316,15 @@ class ClarensServer:
 
     # -- HTTP handling ------------------------------------------------------------
     def handle_request(self, request: HTTPRequest) -> HTTPResponse:
-        """The single entry point used by every transport."""
+        """Route one request and log it: the loopback transport's handler.
+
+        The socket frontends log each request themselves (they also see the
+        ones that never parse), so they are wired to :meth:`route` and
+        :meth:`begin_request`; every request is logged exactly once.
+        """
 
         start = time.perf_counter()
-        response = self.router.dispatch(request)
-        if (self.telemetry is not None
-                and request.url_path != self.config.rpc_path()):
-            # RPCs record their spans inside the pipeline; traced *non-RPC*
-            # requests (a peer's ranged LFN GET, file downloads) are spanned
-            # here so remote reads link into the originating trace.
-            self.telemetry.record_http(request, response.status,
-                                       time.perf_counter() - start)
+        response = self.route(request)
         self.access_log.log(
             remote_addr=request.remote_addr,
             client_dn=request.client_dn,
@@ -333,6 +335,34 @@ class ClarensServer:
             duration_s=time.perf_counter() - start,
         )
         return response
+
+    def route(self, request: HTTPRequest) -> HTTPResponse:
+        """Dispatch one request through the router; never raises."""
+
+        start = time.perf_counter()
+        response = self.router.dispatch(request)
+        if (self.telemetry is not None
+                and request.url_path != self.config.rpc_path()):
+            # RPCs record their spans inside the pipeline; traced *non-RPC*
+            # requests (a peer's ranged LFN GET, file downloads) are spanned
+            # here so remote reads link into the originating trace.
+            self.telemetry.record_http(request, response.status,
+                                       time.perf_counter() - start)
+        return response
+
+    def begin_request(self, request: HTTPRequest
+                      ) -> HTTPResponse | Callable[[], HTTPResponse]:
+        """The async frontend's loop-side entry point.
+
+        An RPC POST is decoded once here and runs as far as it is loop-safe
+        (see :meth:`RequestPipeline.begin_http`); every other route does
+        file, peer or scrape IO and is handed back whole for the executor.
+        """
+
+        route, _ = self.router.resolve(request)
+        if route is self._rpc_route and request.method == "POST":
+            return self.pipeline.begin_http(request)
+        return partial(self.route, request)
 
     def _handle_file_get(self, request: HTTPRequest, remainder: str) -> HTTPResponse:
         file_service = self.services.get("file")
@@ -365,7 +395,7 @@ class ClarensServer:
                       keep_alive: bool = True) -> SocketHTTPServer:
         """A real threaded HTTP server bound to this Clarens instance."""
 
-        return SocketHTTPServer(self.handle_request, host=host, port=port,
+        return SocketHTTPServer(self.route, host=host, port=port,
                                 keep_alive=keep_alive, access_log=self.access_log,
                                 sendfile_enabled=self.config.sendfile_enabled)
 
@@ -389,13 +419,28 @@ class ClarensServer:
                 bus=self.message_bus, source=cfg.server_name)
             gate = lambda request: admission.admit(  # noqa: E731
                 "<async-transport>", request.url_path)
-        return AsyncHTTPServer(
-            self.handle_request, host=host, port=port, keep_alive=keep_alive,
+        frontend = AsyncHTTPServer(
+            self.route, begin=self.begin_request,
+            host=host, port=port, keep_alive=keep_alive,
             executor_workers=cfg.async_executor_workers,
             max_connections=cfg.async_max_connections,
             gate=gate, overload_handler=self._overload_response,
             access_log=self.access_log,
             sendfile_enabled=cfg.sendfile_enabled)
+        self.async_frontends.add(frontend)
+        return frontend
+
+    def frontend_stats(self) -> dict[str, float]:
+        """Counters (summed) and loop lag (worst) of the live async frontends."""
+
+        totals = dict.fromkeys(AsyncHTTPServer.STAT_NAMES, 0)
+        for frontend in list(self.async_frontends):
+            for name, value in frontend.stats().items():
+                if name.startswith("loop_lag"):
+                    totals[name] = max(totals[name], value)
+                else:
+                    totals[name] += value
+        return totals
 
     def frontend(self, *, host: str = "127.0.0.1", port: int = 0,
                  keep_alive: bool = True) -> SocketHTTPServer | AsyncHTTPServer:

@@ -22,7 +22,7 @@ _RPC_ATTR = "__clarens_rpc__"
 
 
 def rpc_method(name: str | None = None, *, signature: str = "", help: str = "",
-               anonymous: bool = False) -> Callable:
+               anonymous: bool = False, loop_safe: bool = False) -> Callable:
     """Mark a service method for publication.
 
     Parameters
@@ -35,6 +35,12 @@ def rpc_method(name: str | None = None, *, signature: str = "", help: str = "",
     anonymous:
         When True the method may be called without an authenticated session
         (used by the authentication bootstrap methods themselves).
+    loop_safe:
+        When True the async frontend runs the method on its event loop
+        instead of offloading it.  Only for methods that touch memory alone:
+        anything doing VFS, peer, subprocess or journal-write IO — or
+        CPU-heavy work such as signature checks — must stay unmarked, because
+        it would stall every connection on the loop.
     """
 
     def decorate(func: Callable) -> Callable:
@@ -43,6 +49,7 @@ def rpc_method(name: str | None = None, *, signature: str = "", help: str = "",
             "signature": signature,
             "help": help,
             "anonymous": anonymous,
+            "loop_safe": loop_safe,
         })
         return func
 
@@ -73,18 +80,15 @@ class ClarensService:
                 help=meta["help"] or (inspect.getdoc(member) or ""),
                 anonymous=meta["anonymous"],
                 service=self.service_name,
+                loop_safe=meta["loop_safe"],
             )
 
     def register(self, registry: MethodRegistry) -> int:
         """Register every published method; returns how many were added."""
 
-        count = 0
-        for method in self.iter_methods():
-            registry.register(method.name, method.func, signature=method.signature,
-                              help=method.help, anonymous=method.anonymous,
-                              service=method.service)
-            count += 1
-        return count
+        methods = list(self.iter_methods())
+        registry.register_service_methods(methods)
+        return len(methods)
 
     # -- lifecycle hooks --------------------------------------------------------
     def on_start(self) -> None:

@@ -30,37 +30,37 @@ class SystemService(ClarensService):
     service_name = "system"
 
     # -- introspection -------------------------------------------------------------
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def list_methods(self) -> list[str]:
         """Return the names of every method published by this server."""
 
         return self.server.registry.list_methods()
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def method_signature(self, name: str) -> str:
         """Return the signature string of a published method."""
 
         return self.server.registry.method_signature(name)
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def method_help(self, name: str) -> str:
         """Return the documentation string of a published method."""
 
         return self.server.registry.method_help(name)
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def list_services(self) -> list[str]:
         """Return the module names (services) hosted by this server."""
 
         return self.server.registry.modules()
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def describe_methods(self) -> list[dict[str, Any]]:
         """Return metadata (name, signature, help) for every method."""
 
         return self.server.registry.describe()
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def server_info(self) -> dict[str, Any]:
         """Return server identity and capability information."""
 
@@ -75,19 +75,19 @@ class SystemService(ClarensService):
             "time": time.time(),
         }
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def ping(self) -> str:
         """Liveness probe; returns the constant string ``pong``."""
 
         return "pong"
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def echo(self, value: Any = "") -> Any:
         """Return the argument unchanged (round-trip / serialization test)."""
 
         return value
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def multicall(self, ctx: CallContext, calls: list) -> list:
         """Execute a batch of calls in one request (XML-RPC multicall).
 
@@ -103,7 +103,7 @@ class SystemService(ClarensService):
         return self.server.pipeline.run_multicall(ctx, calls)
 
     # -- authentication -------------------------------------------------------------
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def get_challenge(self, dn: str) -> str:
         """Issue an authentication challenge (nonce) for ``dn``."""
 
@@ -145,7 +145,7 @@ class SystemService(ClarensService):
         return {"session_id": session.session_id, "dn": session.dn,
                 "expires": session.expires, "method": session.method}
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def whoami(self, ctx: CallContext) -> dict[str, Any]:
         """Return the authenticated identity of the caller."""
 
@@ -174,7 +174,7 @@ class SystemService(ClarensService):
         return self.server.authenticator.logout(ctx.session.session_id)
 
     # -- housekeeping ------------------------------------------------------------------
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def session_count(self, ctx: CallContext) -> int:
         """Number of live sessions (administrators only)."""
 
@@ -188,14 +188,18 @@ class SystemService(ClarensService):
         self.server.require_admin(ctx)
         return self.server.sessions.purge_expired()
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def stats(self, ctx: CallContext) -> dict[str, Any]:
         """Dispatcher statistics (request counts, fault counts, latency).
 
         Under admission control the snapshot additionally carries an
         ``admission`` block with per-identity counters (admitted/throttled/
         fabric-shed per DN, top-K by throttle pressure) so operators can see
-        exactly who fabric-wide shedding is targeting.
+        exactly who fabric-wide shedding is targeting.  ``async_frontend``
+        carries the event-loop frontend's counters — how many requests took
+        the inline lane and how many the executor hop — and its loop lag in
+        seconds (latest sample and worst since start): a blocking method
+        wrongly marked ``loop_safe`` shows up there.
         """
 
         self.server.require_admin(ctx)
@@ -203,6 +207,7 @@ class SystemService(ClarensService):
         controller = getattr(self.server.pipeline, "admission", None)
         snapshot["admission"] = (controller.stats()
                                  if controller is not None else None)
+        snapshot["async_frontend"] = self.server.frontend_stats()
         return snapshot
 
     @rpc_method()
@@ -281,7 +286,7 @@ class SystemService(ClarensService):
         return {"metrics": telemetry.registry.collect(),
                 "exposition": telemetry.registry.render()}
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def cache_stats(self, ctx: CallContext) -> dict[str, Any]:
         """Hot-path cache statistics per named cache (admins only)."""
 
@@ -291,19 +296,19 @@ class SystemService(ClarensService):
         snapshot["invalidations_published"] = self.server.invalidation.published
         return snapshot
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def get_time(self) -> float:
         """Server wall-clock time (seconds since the epoch)."""
 
         return time.time()
 
-    @rpc_method(anonymous=True)
+    @rpc_method(anonymous=True, loop_safe=True)
     def version(self) -> str:
         """Framework version string."""
 
         return "1.0.0"
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def lookup_method(self, name: str) -> dict[str, Any]:
         """Full metadata for one method (raises NotFound for unknown names)."""
 

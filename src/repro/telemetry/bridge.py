@@ -147,6 +147,27 @@ def register_server_collectors(server: "ClarensServer",
         "clarens_dispatch_stage_calls_total",
         "Pipeline stage executions.", "counter", stage_calls)
 
+    # -- async frontend ----------------------------------------------------
+    def frontend_lanes():
+        snap = server.frontend_stats()
+        return [({"lane": "inline"}, snap["requests_inline"]),
+                ({"lane": "offloaded"}, snap["requests_offloaded"])]
+
+    registry.register_callback(
+        "clarens_httpd_requests_total",
+        "Requests the async frontend answered on the event loop (inline) "
+        "or through an executor hop (offloaded).", "counter", frontend_lanes)
+
+    def loop_lag():
+        snap = server.frontend_stats()
+        return [({"stat": "last"}, snap["loop_lag_last_s"]),
+                ({"stat": "max"}, snap["loop_lag_max_s"])]
+
+    registry.register_callback(
+        "clarens_httpd_loop_lag_seconds",
+        "How late the event loop ran its periodic lag sample: the latest "
+        "reading and the worst since start.", "gauge", loop_lag)
+
     # -- caches ------------------------------------------------------------
     register_cache_collectors(server.caches, registry)
 

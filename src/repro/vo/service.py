@@ -23,37 +23,37 @@ class VOService(ClarensService):
     service_name = "vo"
 
     # -- queries -----------------------------------------------------------------
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def list_groups(self, ctx: CallContext, prefix: str = "") -> list[str]:
         """List group names, optionally restricted to one branch."""
 
         return self.server.vo.list_groups(prefix or None)
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def get_group(self, ctx: CallContext, name: str) -> dict[str, Any]:
         """Return one group's members, admins and metadata."""
 
         return self.server.vo.get_group(name).to_record()
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def tree(self, ctx: CallContext) -> dict[str, Any]:
         """The whole group hierarchy as nested dictionaries."""
 
         return self.server.vo.tree()
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def is_member(self, ctx: CallContext, dn: str, group: str) -> bool:
         """Whether ``dn`` is a member of ``group`` (including via hierarchy)."""
 
         return self.server.vo.is_member(dn, group)
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def my_groups(self, ctx: CallContext) -> list[str]:
         """The groups the calling DN belongs to."""
 
         return self.server.vo.groups_for(ctx.require_dn())
 
-    @rpc_method()
+    @rpc_method(loop_safe=True)
     def is_admin(self, ctx: CallContext, dn: str = "", group: str = "") -> bool:
         """Whether a DN (default: the caller) administers a group (default: server)."""
 
