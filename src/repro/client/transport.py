@@ -4,18 +4,20 @@ A transport turns (method, path, headers, body) into an HTTP response.  Two
 implementations exist: one speaking to an in-process
 :class:`~repro.httpd.loopback.LoopbackConnection` (used by tests and the
 benchmarks, like the paper's framework-overhead measurement) and one speaking
-real HTTP over sockets via :mod:`http.client`.
+real HTTP/1.1 over a raw keep-alive socket.
 """
 
 from __future__ import annotations
 
-import http.client
+import io
+import socket
 import urllib.parse
 from typing import Mapping, Protocol
 
 from repro.client.errors import TransportError
 from repro.httpd.loopback import LoopbackConnection, LoopbackTransport
-from repro.httpd.message import Headers, HTTPRequest, HTTPResponse
+from repro.httpd.message import (MAX_HEADER_BYTES, Headers, HTTPError, HTTPRequest,
+                                 HTTPResponse, parse_response_head)
 from repro.httpd.tls import TLSContext
 
 __all__ = ["Transport", "LoopbackClientTransport", "HTTPTransport"]
@@ -63,7 +65,17 @@ class LoopbackClientTransport:
 
 
 class HTTPTransport:
-    """Transport over a real TCP connection (keep-alive, one socket)."""
+    """Transport over one raw keep-alive TCP socket.
+
+    One write per request: head and body leave in a single ``sendall``
+    (``TCP_NODELAY`` set, so nothing waits for a second segment).  Each
+    connection owns one buffered reader for its lifetime; a response is its
+    head (:func:`~repro.httpd.message.parse_response_head`) plus a
+    ``Content-Length`` body read with one copy, or everything up to the
+    close when the server declared no length.  ``Connection: close``
+    retires the socket; ``Transfer-Encoding: chunked`` is refused.
+    ``timeout`` bounds every socket operation.
+    """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         parsed = urllib.parse.urlparse(base_url)
@@ -74,84 +86,147 @@ class HTTPTransport:
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._reader: io.BufferedReader | None = None
         #: Requests completed on the *current* connection; a positive count
         #: marks it as a reused keep-alive socket the server may close idle.
         self._completed = 0
+        #: True once the current exchange has read a first response byte.
+        self._answering = False
 
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _connect(self) -> tuple[socket.socket, io.BufferedReader]:
+        if self._sock is None:
+            try:
+                sock = socket.create_connection((self.host, self.port),
+                                                timeout=self.timeout)
+            except OSError as exc:
+                raise TransportError(f"HTTP request failed: {exc}") from exc
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock = sock
+            self._reader = sock.makefile("rb")
             self._completed = 0
-        return self._conn
+        return self._sock, self._reader
 
     def request(self, method: str, path: str, *, headers: Mapping[str, str] | None = None,
                 body: bytes = b"") -> HTTPResponse:
-        """Issue one request, reconnecting once when that is provably safe.
+        """Issue one request, resending once when that is provably safe.
 
         A server may close an idle keep-alive connection between requests,
-        so one reconnect attempt is allowed — but only when the retry cannot
-        silently replay a call the server might already have executed:
+        so one resend on a fresh connection is allowed — but only when it
+        cannot replay a call the server might already have executed:
 
-        * idempotent bodyless methods (GET/HEAD) always get the retry;
-        * anything carrying a body is resent only when the first attempt
-          failed *before any body bytes were written*.  With Content-Length
-          framing the server cannot execute a request whose body never
-          started, so that resend is safe.  Once body bytes are on the wire
-          the retry is additionally allowed when the failure is the
-          *stale keep-alive* signature — the connection had already
-          completed at least one request and the server dropped it without
-          sending any response bytes (``RemoteDisconnected``, or the
-          connection reset underneath the write).  That close races our
-          request against the server's idle timeout or restart; the server
-          abandoned the connection without answering, so the call did not
-          complete and a fresh-connection resend (with the same headers —
-          they are rebuilt per request, so a negotiated Content-Type
-          travels on the retry too) is safe.  Any other mid-exchange
-          failure surfaces to the caller instead of replaying a possibly
-          non-idempotent RPC.
+        * the method is GET or HEAD (idempotent); or
+        * the request carries no body; or
+        * ``sendall`` itself raised: the last byte never reached the kernel,
+          and with Content-Length framing the server cannot execute a
+          request it has not received in full; or
+        * the *stale keep-alive* signature holds: this socket had completed
+          at least one request and the peer dropped it before a single
+          response byte.  That close raced our request against the server's
+          idle timeout or restart; the server abandoned the connection
+          without answering, so the call did not complete.
+
+        Anything else — a timeout waiting for the answer, a connection that
+        died mid-response or on its first request — surfaces as
+        :class:`TransportError` and is never replayed.  Headers are rebuilt
+        per request, so a negotiated Content-Type travels on the resend too.
         """
 
-        header_map = dict(headers or {})
+        message = self._render(method, path, headers, body)
         for attempt in (0, 1):
-            conn = self._connect()
+            sock, reader = self._connect()
             reused = self._completed > 0
-            body_bytes_written = False
+            sent = self._answering = False
             try:
-                conn.putrequest(method, path)
-                for key, value in header_map.items():
-                    conn.putheader(key, value)
-                if body and not any(k.lower() == "content-length"
-                                    for k in header_map):
-                    conn.putheader("Content-Length", str(len(body)))
-                conn.endheaders()
-                if body:
-                    body_bytes_written = True
-                    conn.send(body)
-                raw = conn.getresponse()
-                payload = raw.read()
-            except (OSError, http.client.HTTPException) as exc:
+                sock.sendall(message)
+                sent = True
+                return self._read_response(reader, method)
+            except (OSError, HTTPError) as exc:
                 self.close()
-                stale_keepalive = reused and isinstance(
-                    exc, (http.client.RemoteDisconnected,
-                          ConnectionResetError, BrokenPipeError))
-                retry_safe = (method in ("GET", "HEAD")
-                              or not body_bytes_written
-                              or stale_keepalive)
+                stale_keepalive = (reused and not self._answering
+                                   and isinstance(exc, ConnectionError))
+                retry_safe = (method in ("GET", "HEAD") or not body
+                              or not sent or stale_keepalive)
                 if attempt == 0 and retry_safe:
                     continue
                 raise TransportError(f"HTTP request failed: {exc}") from exc
-            self._completed += 1
-            response_headers = Headers()
-            for key, value in raw.getheaders():
-                response_headers.add(key, value)
-            return HTTPResponse(status=raw.status, headers=response_headers,
-                                body=payload)
         raise TransportError("unreachable")  # pragma: no cover
 
+    def _render(self, method: str, path: str, headers: Mapping[str, str] | None,
+                body: bytes) -> bytes:
+        """The whole request as one byte string (``Host`` always present,
+        ``Content-Length`` added when a body travels without one)."""
+
+        lines = [f"{method} {path} HTTP/1.1"]
+        named = set()
+        for key, value in (headers or {}).items():
+            named.add(key.lower())
+            lines.append(f"{key}: {value}")
+        if "host" not in named:
+            lines.insert(1, f"Host: {self.host}:{self.port}")
+        if body and "content-length" not in named:
+            lines.append(f"Content-Length: {len(body)}")
+        head = "\r\n".join(lines)
+        breaks = len(lines) - 1
+        if head.count("\r") != breaks or head.count("\n") != breaks:
+            raise TransportError("line break inside a request line or header")
+        try:
+            return head.encode("latin-1") + b"\r\n\r\n" + body
+        except UnicodeEncodeError as exc:
+            raise TransportError(f"request head is not latin-1: {exc}") from exc
+
+    def _read_response(self, reader: io.BufferedReader, method: str) -> HTTPResponse:
+        lines: list[bytes] = []
+        size = 0
+        while True:
+            line = reader.readline(MAX_HEADER_BYTES + 1)
+            if not line:
+                raise ConnectionResetError(
+                    "server closed the connection mid-head" if self._answering
+                    else "server closed the connection without responding")
+            self._answering = True
+            size += len(line)
+            if size > MAX_HEADER_BYTES:
+                raise HTTPError(413, "response head too large")
+            line = line.rstrip(b"\r\n")
+            if line:
+                lines.append(line)
+            elif lines:
+                break
+        status, headers = parse_response_head(b"\r\n".join(lines))
+
+        keep = (headers.get("Connection") or "").lower() != "close"
+        if "chunked" in (headers.get("Transfer-Encoding") or "").lower():
+            # The server answered, so the call ran: never a resend.
+            self.close()
+            raise TransportError("server sent Transfer-Encoding: chunked, "
+                                 "which this transport does not read")
+        declared = headers.get("Content-Length")
+        if method == "HEAD" or status in (204, 304):
+            payload = b""
+        elif declared is None:
+            payload, keep = reader.read(), False
+        else:
+            if not declared.isdigit():
+                raise HTTPError(400, f"invalid Content-Length {declared!r}")
+            # One copy: the reader fills a buffer of exactly this size.
+            length = int(declared)
+            payload = reader.read(length)
+            if len(payload) != length:
+                raise ConnectionResetError("server closed the connection "
+                                           "mid-body")
+        if keep:
+            self._completed += 1
+        else:
+            self.close()
+        return HTTPResponse(status=status, headers=headers, body=payload)
+
     def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            finally:
-                self._conn = None
+        sock, reader = self._sock, self._reader
+        self._sock = self._reader = None
+        try:
+            if reader is not None:
+                reader.close()
+        finally:
+            if sock is not None:
+                sock.close()

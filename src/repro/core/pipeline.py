@@ -205,9 +205,9 @@ class RequestState:
     anonymous: bool = False
     #: Set by the invoke stage (or by a custom stage that short-circuits).
     response: RPCResponse | None = None
-    #: False when the serving codec validates during encoding (spliceable
-    #: codecs), so the invoke stage skips the redundant ``validate_value``
-    #: walk over the result.
+    #: False when the serving codec validates while it encodes
+    #: (``codec.validates_on_encode``), so the invoke stage skips the
+    #: redundant ``validate_value`` walk over the result.
     validate_result: bool = True
     #: Wall-clock seconds spent in each stage, keyed by stage name.
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -795,8 +795,6 @@ class RequestPipeline:
             body = encode_fault_cached(codec, Fault(FaultCode.PARSE_ERROR, str(exc)))
             return self._http_response(200, codec, body, advert)
 
-        # Spliceable codecs validate while encoding, so the invoke stage's
-        # separate validation walk over the result is redundant for them.
         spliceable = getattr(codec, "spliceable", False)
         rpc_request = (self._request_memo.get(request.body)
                        if spliceable else None)
@@ -813,9 +811,12 @@ class RequestPipeline:
                     self._request_memo.clear()
                 self._request_memo[request.body] = rpc_request
 
+        # One walk per value: a codec that validates while it encodes makes
+        # the invoke stage's separate walk over the result redundant.
         state = RequestState(server=self.server, rpc_request=rpc_request,
                              http_request=request, protocol=codec.name,
-                             validate_result=not spliceable)
+                             validate_result=not getattr(
+                                 codec, "validates_on_encode", False))
         state.stage_seconds["decode"] = time.perf_counter() - decode_start
         return state, codec, advert
 
@@ -835,13 +836,12 @@ class RequestPipeline:
             body = encode_fault_cached(codec, response.fault)
         elif not state.validate_result and not response.is_fault:
             try:
-                body = self._encode_spliced(codec, rpc_request.method, response)
+                if getattr(codec, "spliceable", False):
+                    body = self._encode_spliced(codec, rpc_request.method, response)
+                else:
+                    body = codec.encode_response(response)
             except ProtocolError as exc:
-                # The validation the invoke stage skipped surfaces here: an
-                # unencodable result becomes the same fault the validation
-                # walk would have raised.
-                response = RPCResponse.from_fault(to_fault(exc),
-                                                  call_id=rpc_request.call_id)
+                response = _refused_result(codec, rpc_request, response, exc)
                 body = codec.encode_response(response)
         else:
             body = codec.encode_response(response)
@@ -974,6 +974,32 @@ class RequestPipeline:
         except BaseException as exc:  # noqa: BLE001
             return to_fault(exc)
         return None
+
+
+def _refused_result(codec, rpc_request: RPCRequest, response: RPCResponse,
+                    exc: ProtocolError) -> RPCResponse:
+    """What to send when the codec refused a result at encode time.
+
+    The refusal is the validation the invoke stage skipped, so it becomes
+    the fault that walk would have raised.  A multicall keeps its
+    fault-per-entry promise for what only the codec can judge (a string XML
+    cannot carry): each slot is tried on its own, at the depth it has in the
+    batch, and only the refused ones turn into fault structs.
+    """
+
+    slots = response.result
+    if rpc_request.method != "system.multicall" or not isinstance(slots, list):
+        return RPCResponse.from_fault(to_fault(exc), call_id=rpc_request.call_id)
+    kept = []
+    for slot in slots:
+        try:
+            codec.encode_response(RPCResponse.from_result([slot], validate=False))
+        except ProtocolError as refusal:
+            fault = to_fault(refusal)
+            slot = {"faultCode": fault.code, "faultString": fault.message}
+        kept.append(slot)
+    return RPCResponse.from_result(kept, call_id=rpc_request.call_id,
+                                   validate=False)
 
 
 def _parse_multicall_entry(entry: Any) -> tuple[str, Sequence[Any]]:

@@ -15,7 +15,8 @@ from typing import Any, Mapping
 from repro.httpd.sendfile import FilePayload
 
 __all__ = ["HTTPRequest", "HTTPResponse", "HTTPError", "Headers", "REASON_PHRASES",
-           "HTTPRequestParser", "MAX_HEADER_BYTES", "MAX_BODY_BYTES"]
+           "HTTPRequestParser", "parse_response_head", "MAX_HEADER_BYTES",
+           "MAX_BODY_BYTES"]
 
 #: Wire limits shared by every socket frontend (threaded and async): the
 #: header section of one request may not exceed MAX_HEADER_BYTES and a
@@ -224,17 +225,7 @@ class HTTPResponse:
     @classmethod
     def from_bytes(cls, data: bytes) -> "HTTPResponse":
         head, _, body = data.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        if not lines or not lines[0].startswith("HTTP/"):
-            raise HTTPError(400, "malformed response status line")
-        parts = lines[0].split(" ", 2)
-        status = int(parts[1])
-        headers = Headers()
-        for line in lines[1:]:
-            if not line:
-                continue
-            key, _, value = line.partition(":")
-            headers.add(key.strip(), value.strip())
+        status, headers = parse_response_head(head)
         return cls(status=status, headers=headers, body=body)
 
     # -- constructors --------------------------------------------------------
@@ -261,6 +252,29 @@ class HTTPResponse:
             f"<code>{status}</code><message>{_xml_escape(message)}</message></error>"
         ).encode()
         return cls(status=status, headers=Headers({"Content-Type": "text/xml"}), body=body)
+
+
+def parse_response_head(head: bytes) -> tuple[int, Headers]:
+    """The status code and headers of a response head.
+
+    ``head`` is the status line and header lines, with or without the blank
+    line that ends them.  The one response-head parser: the loopback
+    transport (:meth:`HTTPResponse.from_bytes`) and the client's socket
+    transport both use it.  Raises :class:`HTTPError` 400 on a status line
+    that is not ``HTTP/x.y NNN ...``.
+    """
+
+    lines = head.decode("latin-1").split("\r\n")
+    parts = lines[0].split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdigit():
+        raise HTTPError(400, "malformed response status line")
+    headers = Headers()
+    for line in lines[1:]:
+        if not line:
+            continue
+        key, _, value = line.partition(":")
+        headers.add(key.strip(), value.strip())
+    return int(parts[1]), headers
 
 
 def _xml_escape(text: str) -> str:

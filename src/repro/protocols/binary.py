@@ -38,7 +38,7 @@ import struct
 from typing import Any
 
 from repro.protocols.errors import Fault, ProtocolError
-from repro.protocols.types import RPCRequest, RPCResponse
+from repro.protocols.types import MAX_NESTING, RPCRequest, RPCResponse
 
 __all__ = ["BinaryCodec", "MAGIC"]
 
@@ -52,9 +52,9 @@ _F64 = struct.Struct(">d")
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 
-#: Matches ``repro.protocols.types.validate_value``'s nesting cap so a
-#: hostile frame cannot recurse the decoder past what the type model allows.
-_MAX_DEPTH = 64
+#: The type model's nesting cap, so a hostile frame cannot recurse the
+#: decoder past what ``validate_value`` allows.
+_MAX_DEPTH = MAX_NESTING
 
 
 def _encode_value(value: Any, out: list[bytes], depth: int = 0) -> None:
@@ -229,6 +229,10 @@ class BinaryCodec:
     #: The pipeline keys its hot-response memo off this capability; the text
     #: codecs interleave markup and escaping, so they never set it.
     spliceable = True
+    #: Encoding raises :class:`ProtocolError` for any value outside the type
+    #: model, so a caller that is about to encode may skip the separate
+    #: ``validate_value`` walk (the pipeline's invoke stage reads this).
+    validates_on_encode = True
 
     # -- requests ----------------------------------------------------------------
     def encode_request(self, request: RPCRequest) -> bytes:

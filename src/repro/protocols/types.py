@@ -8,9 +8,29 @@ from typing import Any, Sequence
 
 from repro.protocols.errors import Fault, ProtocolError
 
-__all__ = ["RPCRequest", "RPCResponse", "validate_value", "SCALAR_TYPES"]
+__all__ = ["RPCRequest", "RPCResponse", "validate_value", "SCALAR_TYPES",
+           "MAX_NESTING", "nesting_error", "key_type_error", "value_type_error"]
 
 SCALAR_TYPES = (type(None), bool, int, float, str, bytes, _dt.datetime)
+
+#: Deepest level a value may sit at (the top-level value is level 0).  The
+#: cap guards the recursive codecs against pathological nesting.
+MAX_NESTING = 64
+
+
+# The three ways a value can fall outside the model.  Codecs that validate
+# while they encode raise these same errors, so a caller sees one text
+# whichever walk caught the problem.
+def nesting_error() -> ProtocolError:
+    return ProtocolError(f"value nesting exceeds {MAX_NESTING} levels")
+
+
+def key_type_error(key: Any) -> ProtocolError:
+    return ProtocolError(f"struct keys must be strings, got {type(key).__name__}")
+
+
+def value_type_error(value: Any) -> ProtocolError:
+    return ProtocolError(f"type {type(value).__name__} is not representable in RPC")
 
 
 def validate_value(value: Any, *, _depth: int = 0) -> Any:
@@ -18,12 +38,11 @@ def validate_value(value: Any, *, _depth: int = 0) -> Any:
 
     Returns the value unchanged on success and raises
     :class:`~repro.protocols.errors.ProtocolError` otherwise.  Tuples are
-    accepted and treated as arrays.  The depth limit guards the recursive
-    codecs against pathological nesting.
+    accepted and treated as arrays.
     """
 
-    if _depth > 64:
-        raise ProtocolError("value nesting exceeds 64 levels")
+    if _depth > MAX_NESTING:
+        raise nesting_error()
     if isinstance(value, SCALAR_TYPES):
         return value
     if isinstance(value, (list, tuple)):
@@ -33,10 +52,10 @@ def validate_value(value: Any, *, _depth: int = 0) -> Any:
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
-                raise ProtocolError(f"struct keys must be strings, got {type(key).__name__}")
+                raise key_type_error(key)
             validate_value(item, _depth=_depth + 1)
         return value
-    raise ProtocolError(f"type {type(value).__name__} is not representable in RPC")
+    raise value_type_error(value)
 
 
 @dataclass
@@ -63,9 +82,9 @@ class RPCRequest:
         """Construct from decoder output without re-validating the tree.
 
         Only for codecs whose decoder is constructive — it can *only* produce
-        model types within the nesting cap (the binary decoder), so the
-        per-value validation walk would re-prove what the decode already
-        established.  ``method`` must be non-empty and ``params`` a tuple.
+        model types within the nesting cap (the binary and XML-RPC decoders),
+        so the per-value validation walk would re-prove what the decode
+        already established.  ``method`` must be non-empty and ``params`` a tuple.
         """
 
         request = cls.__new__(cls)

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import socket
+import subprocess
+import sys
 import threading
+import time
+from typing import Callable
 
 import pytest
 
@@ -13,7 +18,9 @@ from repro.client.asyncclient import (AsyncLoadClient, PipelinedLoadClient,
 from repro.client.client import ClarensClient
 from repro.client.errors import ClientError, TransportError
 from repro.client.files import download_file, download_file_rpc, upload_file
+from repro.client import transport as transport_module
 from repro.client.transport import HTTPTransport
+from repro.httpd.message import HTTPRequestParser, HTTPResponse
 from repro.protocols import JSONRPCCodec, SOAPCodec
 from repro.protocols.errors import Fault
 
@@ -89,6 +96,19 @@ class TestClientBasics:
             client.close()
 
 
+def test_client_package_does_not_import_http_client():
+    """The import guard: the socket transport owns its HTTP framing, so
+    neither ``http.client`` nor the ``email`` parser behind it may come back
+    through a helper."""
+
+    probe = ("import repro.client, sys; "
+             "print([m for m in ('http.client', 'email.parser') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class _ScriptedHTTP:
     """A raw-socket HTTP stub whose per-connection behaviour is scripted.
 
@@ -97,16 +117,31 @@ class _ScriptedHTTP:
     * ``"close"``      — close immediately, without reading (stale socket);
     * ``"read_close"`` — read one full request, record it, close without
       responding (the server died *after* consuming the request);
-    * ``"serve"``      — read requests, record each, answer 200 until EOF.
+    * ``"serve"``      — read requests, record each, answer 200 until EOF;
+    * ``"stall"``      — read one request, record it, never answer (held
+      open until :meth:`close`);
+    * any key of ``_ONE_REPLY`` — read one request, record it, send that
+      reply, close.
     """
 
     _OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    _ONE_REPLY = {
+        "serve_once": _OK,
+        "truncate": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+        "close_header": (b"HTTP/1.1 200 OK\r\nConnection: close\r\n"
+                         b"Content-Length: 2\r\n\r\nok"),
+        "no_length": b"HTTP/1.1 200 OK\r\nX-Framing: close\r\n\r\nto-the-close",
+        "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                    b"2\r\nok\r\n0\r\n\r\n"),
+    }
 
     def __init__(self, *scripts: str) -> None:
         self.scripts = scripts
         self.requests: list[bytes] = []
+        self.accepted = 0
+        self._released = threading.Event()
         self.listener = socket.create_server(("127.0.0.1", 0))
-        self.listener.settimeout(5)
+        self.listener.settimeout(0.05)          # accept polls, so close() is prompt
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
 
@@ -116,15 +151,23 @@ class _ScriptedHTTP:
         return f"http://{host}:{port}"
 
     def close(self) -> None:
-        self.listener.close()
+        self._released.set()
         self.thread.join(timeout=5)
+        self.listener.close()
 
     def _serve(self) -> None:
         for script in self.scripts:
-            try:
-                conn, _ = self.listener.accept()
-            except OSError:
+            conn = None
+            while conn is None and not self._released.is_set():
+                try:
+                    conn, _ = self.listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+            if conn is None:
                 return
+            self.accepted += 1
             with conn:
                 conn.settimeout(5)
                 if script == "close":
@@ -136,7 +179,12 @@ class _ScriptedHTTP:
                     self.requests.append(request)
                     if script == "read_close":
                         break
-                    conn.sendall(self._OK)
+                    if script == "stall":
+                        self._released.wait(5)
+                        break
+                    conn.sendall(self._ONE_REPLY.get(script, self._OK))
+                    if script != "serve":
+                        break
 
     def _read_request(self, conn: socket.socket) -> bytes | None:
         data = b""
@@ -201,6 +249,192 @@ class TestHTTPTransportRetrySafety:
         finally:
             transport.close()
             stub.close()
+
+    def test_stale_keepalive_after_a_completed_request_is_resent_once(self):
+        """The server answered once, then dropped the idle socket: the next
+        POST dies before a single response byte and is resent exactly once."""
+
+        stub = _ScriptedHTTP("serve_once", "serve")
+        transport = HTTPTransport(stub.url)
+        try:
+            assert transport.request("POST", "/rpc", body=b"first").status == 200
+            assert transport.request("POST", "/rpc", body=b"second").status == 200
+            assert stub.accepted == 2
+            assert [r.rsplit(b"\r\n\r\n", 1)[1] for r in stub.requests] == [
+                b"first", b"second"]            # one delivered copy of each
+        finally:
+            transport.close()
+            stub.close()
+
+    def test_truncated_response_body_is_an_error_not_a_replay(self):
+        stub = _ScriptedHTTP("truncate", "serve")
+        transport = HTTPTransport(stub.url)
+        try:
+            with pytest.raises(TransportError, match="mid-body"):
+                transport.request("POST", "/rpc", body=b"ran-once")
+            assert len(stub.requests) == 1 and stub.accepted == 1
+        finally:
+            transport.close()
+            stub.close()
+
+    def test_connection_close_reply_retires_the_socket(self):
+        """After ``Connection: close`` the next request starts a fresh
+        connection — which is *not* a reused keep-alive socket, so a POST
+        that dies on it unanswered is not replayed."""
+
+        stub = _ScriptedHTTP("close_header", "read_close", "serve")
+        transport = HTTPTransport(stub.url)
+        try:
+            assert transport.request("POST", "/rpc", body=b"one").body == b"ok"
+            with pytest.raises(TransportError):
+                transport.request("POST", "/rpc", body=b"two")
+            assert stub.accepted == 2
+            assert sum(b"two" in r for r in stub.requests) == 1
+        finally:
+            transport.close()
+            stub.close()
+
+    def test_response_without_content_length_is_read_to_the_close(self):
+        stub = _ScriptedHTTP("no_length", "serve")
+        transport = HTTPTransport(stub.url)
+        try:
+            response = transport.request("POST", "/rpc", body=b"x")
+            assert response.body == b"to-the-close"
+            assert response.headers.get("X-Framing") == "close"
+            assert transport.request("GET", "/again").body == b"ok"
+            assert stub.accepted == 2
+        finally:
+            transport.close()
+            stub.close()
+
+    def test_chunked_response_is_refused_and_says_so(self):
+        stub = _ScriptedHTTP("chunked", "serve")
+        transport = HTTPTransport(stub.url)
+        try:
+            with pytest.raises(TransportError, match="chunked"):
+                transport.request("GET", "/stream")
+            assert len(stub.requests) == 1      # answered, so never resent
+        finally:
+            transport.close()
+            stub.close()
+
+    def test_timeout_bounds_the_wait_and_never_replays(self):
+        stub = _ScriptedHTTP("serve_once", "stall", "serve")
+        transport = HTTPTransport(stub.url, timeout=0.3)
+        try:
+            assert transport.request("POST", "/rpc", body=b"warm").status == 200
+            # Reconnects (stale keep-alive), then the server sits on the call.
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                transport.request("POST", "/rpc", body=b"slow-call")
+            assert time.monotonic() - started < 3
+            assert sum(b"slow-call" in r for r in stub.requests) == 1
+        finally:
+            transport.close()
+            stub.close()
+
+
+class _FakeSocket:
+    """An in-memory socket: counts ``sendall`` calls, checks each request
+    with the server's own parser, and hands the reply to the reader in the
+    scripted pieces."""
+
+    def __init__(self, reply: bytes, cuts: "Callable[[bytes], list[bytes]]") -> None:
+        self.reply, self.cuts = reply, cuts
+        self.sends: list[bytes] = []
+        self.parser = HTTPRequestParser()
+        self.parsed: list = []
+        self.pieces: list[bytes] = []
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendall(self, data: bytes) -> None:
+        self.sends.append(bytes(data))
+        self.parser.feed(data)
+        request = self.parser.next_request()
+        assert request is not None and not self.parser.mid_request
+        self.parsed.append(request)
+        self.pieces.extend(self.cuts(self.reply))
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        pieces = self.pieces
+
+        class Raw(io.RawIOBase):
+            def readable(self) -> bool:
+                return True
+
+            def readinto(self, buffer) -> int:
+                if not pieces:
+                    return 0
+                piece = pieces.pop(0)
+                count = min(len(piece), len(buffer))
+                buffer[:count] = piece[:count]
+                if count < len(piece):
+                    pieces.insert(0, piece[count:])
+                return count
+
+        return io.BufferedReader(Raw())
+
+    def close(self) -> None:
+        pass
+
+
+class TestHTTPTransportFraming:
+    """One write out, any segmentation in."""
+
+    REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\n"
+             b"X-Clarens-Protocols: xml-rpc,binary\r\nContent-Length: 11\r\n"
+             b"\r\nhello world")
+
+    def _transport(self, monkeypatch, cuts) -> tuple[HTTPTransport, _FakeSocket]:
+        fake = _FakeSocket(self.REPLY, cuts)
+        monkeypatch.setattr(transport_module.socket, "create_connection",
+                            lambda *args, **kwargs: fake)
+        return HTTPTransport("http://ledger.example:8080"), fake
+
+    def test_one_sendall_per_request_that_the_server_parser_accepts(self, monkeypatch):
+        transport, fake = self._transport(monkeypatch, lambda reply: [reply])
+        transport.request("POST", "/clarens/rpc", body=b"<methodCall/>",
+                          headers={"Content-Type": "text/xml"})
+        transport.request("POST", "/clarens/rpc", body=b"abc",
+                          headers={"content-length": "3", "Host": "elsewhere"})
+        transport.request("GET", "/clarens/file/x")
+        assert len(fake.sends) == 3             # one write per request
+        first, second, third = fake.parsed
+        assert first.headers.get("Host") == "ledger.example:8080"
+        assert first.headers.get_all("Content-Length") == ["13"]
+        assert first.body == b"<methodCall/>"
+        assert second.headers.get_all("Content-Length") == ["3"]    # not doubled
+        assert second.headers.get_all("Host") == ["elsewhere"]
+        assert third.method == "GET" and third.headers.get("Content-Length") is None
+
+    def test_line_breaks_cannot_be_smuggled_into_the_head(self, monkeypatch):
+        transport, fake = self._transport(monkeypatch, lambda reply: [reply])
+        with pytest.raises(TransportError, match="line break"):
+            transport.request("GET", "/x", headers={"X-Session": "a\r\nX-Evil: 1"})
+        with pytest.raises(TransportError, match="line break"):
+            transport.request("GET", "/x\nHost: evil")
+        assert fake.sends == []
+
+    def test_reply_split_at_every_offset_parses_identically(self, monkeypatch):
+        whole = HTTPResponse.from_bytes(self.REPLY)
+        cut = 0
+        transport, fake = self._transport(
+            monkeypatch, lambda reply: [reply[:cut], reply[cut:]])
+        for cut in range(1, len(self.REPLY)):
+            response = transport.request("POST", "/rpc", body=b"x")
+            assert (response.status, response.headers.items(), response.body) == (
+                whole.status, whole.headers.items(), whole.body)
+        assert len(fake.sends) == len(self.REPLY) - 1
+
+    def test_reply_delivered_one_byte_at_a_time(self, monkeypatch):
+        whole = HTTPResponse.from_bytes(self.REPLY)
+        transport, _ = self._transport(
+            monkeypatch, lambda reply: [reply[i:i + 1] for i in range(len(reply))])
+        response = transport.request("POST", "/rpc", body=b"x")
+        assert (response.status, response.headers.items(), response.body) == (
+            whole.status, whole.headers.items(), whole.body)
 
 
 class TestPipelinedLoadClient:
